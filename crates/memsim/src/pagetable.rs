@@ -109,11 +109,15 @@ impl PageTable {
     /// when translating a `size`-mapped `va`: 4 entries for 4KB pages, 3
     /// for 2MB, 2 for 1GB.
     pub fn walk_path(&self, va: VirtAddr, size: PageSize) -> WalkPath {
-        let levels: &[Level] = match size {
-            PageSize::Base4K => &Level::ALL,
-            PageSize::Huge2M => &Level::ALL[..3],
-            PageSize::Huge1G => &Level::ALL[..2],
-        };
+        self.walk_tail(va, size, size.walk_levels())
+    }
+
+    /// The last `refs` entries of [`PageTable::walk_path`]: the references
+    /// a walker still issues after the walk caches resolved the levels
+    /// above them. Only those entries are hashed.
+    pub(crate) fn walk_tail(&self, va: VirtAddr, size: PageSize, refs: u32) -> WalkPath {
+        let depth = size.walk_levels() as usize;
+        let levels = &Level::ALL[depth - refs as usize..depth];
         let mut addrs = [PhysAddr::new(0); 4];
         for (slot, &level) in addrs.iter_mut().zip(levels) {
             *slot = self.entry_addr(va, level);
@@ -155,6 +159,19 @@ mod tests {
         assert_eq!(pt.walk_path(va, PageSize::Base4K).len(), 4);
         assert_eq!(pt.walk_path(va, PageSize::Huge2M).len(), 3);
         assert_eq!(pt.walk_path(va, PageSize::Huge1G).len(), 2);
+    }
+
+    #[test]
+    fn walk_tail_is_the_suffix_of_the_walk_path() {
+        let pt = PageTable::new(7);
+        let va = VirtAddr::new(0x7fff_1234_5678);
+        for size in PageSize::ALL {
+            let path = pt.walk_path(va, size);
+            for refs in 0..=size.walk_levels() {
+                let tail = pt.walk_tail(va, size, refs);
+                assert_eq!(&tail[..], &path[path.len() - refs as usize..]);
+            }
+        }
     }
 
     #[test]

@@ -59,21 +59,18 @@ impl WalkCaches {
         // For a 4KB walk the PDE cache leaves 1 reference; for a 2MB walk
         // the deepest useful cache is the PDPTE cache (the PDE *is* the
         // leaf); for 1GB only the PML4E cache applies.
+        //
+        // Every lookup inserts on a miss, so a walk leaves each cache it
+        // consulted holding its prefix as the most recent entry.
         let skipped = match size {
             PageSize::Base4K => {
                 if access(&mut self.pde, Self::tag(va, 21)) {
                     3
                 } else if access(&mut self.pdpte, Self::tag(va, 30)) {
-                    self.pde_fill(va);
                     2
                 } else if access(&mut self.pml4e, Self::tag(va, 39)) {
-                    self.pdpte_fill(va);
-                    self.pde_fill(va);
                     1
                 } else {
-                    self.pml4e_fill(va);
-                    self.pdpte_fill(va);
-                    self.pde_fill(va);
                     0
                 }
             }
@@ -81,11 +78,8 @@ impl WalkCaches {
                 if access(&mut self.pdpte, Self::tag(va, 30)) {
                     2
                 } else if access(&mut self.pml4e, Self::tag(va, 39)) {
-                    self.pdpte_fill(va);
                     1
                 } else {
-                    self.pml4e_fill(va);
-                    self.pdpte_fill(va);
                     0
                 }
             }
@@ -93,7 +87,6 @@ impl WalkCaches {
                 if access(&mut self.pml4e, Self::tag(va, 39)) {
                     1
                 } else {
-                    self.pml4e_fill(va);
                     0
                 }
             }
@@ -110,27 +103,9 @@ impl WalkCaches {
     fn tag(va: VirtAddr, shift: u32) -> u64 {
         va.raw() >> shift
     }
-
-    fn pml4e_fill(&mut self, va: VirtAddr) {
-        if let Some(c) = &mut self.pml4e {
-            c.insert(Self::tag(va, 39));
-        }
-    }
-
-    fn pdpte_fill(&mut self, va: VirtAddr) {
-        if let Some(c) = &mut self.pdpte {
-            c.insert(Self::tag(va, 30));
-        }
-    }
-
-    fn pde_fill(&mut self, va: VirtAddr) {
-        if let Some(c) = &mut self.pde {
-            c.insert(Self::tag(va, 21));
-        }
-    }
 }
 
-/// Looks up a possibly-disabled cache.
+/// Looks up a possibly-disabled cache, inserting `tag` on a miss.
 fn access(cache: &mut Option<SetAssocCache>, tag: u64) -> bool {
     cache.as_mut().is_some_and(|c| c.access(tag))
 }

@@ -280,9 +280,7 @@ impl MemorySubsystem {
             let next = VirtAddr::new(va.align_down(size).raw().wrapping_add(size.bytes()));
             if !self.stlb.probe_covered(next, size) {
                 let refs = self.pwc.lookup_and_fill(next, size);
-                let path = self.page_table.walk_path(next, size);
-                let skip = path.len() - refs as usize;
-                for addr in &path[skip..] {
+                for addr in self.page_table.walk_tail(next, size, refs).iter() {
                     self.memory.access(*addr, true);
                 }
                 self.stlb.install(next, size);
@@ -315,13 +313,11 @@ impl MemorySubsystem {
         // walker issues; each reference goes through the hierarchy and the
         // latencies add up (dependent loads).
         let refs_needed = self.pwc.lookup_and_fill(va, size);
-        let path = self.page_table.walk_path(va, size);
-        let skip = path.len() - refs_needed as usize;
         let mut info = WalkInfo {
             refs: refs_needed,
             ..WalkInfo::default()
         };
-        for addr in &path[skip..] {
+        for addr in self.page_table.walk_tail(va, size, refs_needed).iter() {
             let (level, lat) = self.memory.access(*addr, true);
             info.cycles += lat;
             match level {

@@ -37,6 +37,27 @@ impl RealMem {
     pub unsafe fn munmap(addr: *mut c_void, length: libc::size_t) -> libc::c_int {
         libc::syscall(libc::SYS_munmap, addr, length) as libc::c_int
     }
+
+    /// Raw `mremap` syscall moving the `length`-byte mapping at `old` to
+    /// exactly `new`, replacing whatever was mapped there.
+    ///
+    /// # Safety
+    ///
+    /// Same contract as `mremap(2)` with `MREMAP_MAYMOVE | MREMAP_FIXED`.
+    pub(crate) unsafe fn mremap_fixed(
+        old: *mut c_void,
+        length: libc::size_t,
+        new: *mut c_void,
+    ) -> *mut c_void {
+        libc::syscall(
+            libc::SYS_mremap,
+            old,
+            length,
+            length,
+            libc::MREMAP_MAYMOVE | libc::MREMAP_FIXED,
+            new,
+        ) as *mut c_void
+    }
 }
 
 /// One reserved pool: a real memory reservation plus first-fit state.
@@ -83,25 +104,44 @@ impl ReservedPool {
             };
             let win_len = (w.end - w.start) as usize;
             let target = (base + w.start) as *mut c_void;
-            let mapped = unsafe {
+            // Map the hugepages wherever the kernel puts them, then move
+            // them over the window. A failed MAP_FIXED mapping straight
+            // onto the window can leave it unmapped, and another thread's
+            // next mapping can then land inside the pool; `mremap` either
+            // replaces the window or leaves it as it was.
+            // SAFETY: a fresh anonymous mapping at a kernel-chosen
+            // address touches no existing memory.
+            let huge = unsafe {
                 RealMem::mmap(
-                    target,
+                    std::ptr::null_mut(),
                     win_len,
                     libc::PROT_READ | libc::PROT_WRITE,
-                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | libc::MAP_FIXED | huge_flag,
+                    libc::MAP_PRIVATE | libc::MAP_ANONYMOUS | huge_flag,
                     -1,
                     0,
                 )
             };
-            if mapped == libc::MAP_FAILED {
-                if strict {
-                    unsafe { RealMem::munmap(base as *mut c_void, len as usize) };
-                    return None;
-                }
-                fallback += 1;
-            } else {
+            // SAFETY: `huge` is the `win_len`-byte mapping just created,
+            // and `target..target + win_len` lies inside this pool's own
+            // reservation, which nothing has handed out yet.
+            let moved = huge != libc::MAP_FAILED
+                && unsafe { RealMem::mremap_fixed(huge, win_len, target) } != libc::MAP_FAILED;
+            if moved {
                 granted += 1;
+                continue;
             }
+            if huge != libc::MAP_FAILED {
+                // SAFETY: the move failed, so `huge` is still the unused
+                // mapping created above.
+                unsafe { RealMem::munmap(huge, win_len) };
+            }
+            if strict {
+                // SAFETY: the reservation is dropped before any of it is
+                // handed out.
+                unsafe { RealMem::munmap(base as *mut c_void, len as usize) };
+                return None;
+            }
+            fallback += 1;
         }
         Some(ReservedPool {
             base,
@@ -335,9 +375,13 @@ mod tests {
             .expect("non-strict reservation always succeeds");
         let (granted, fallback) = rt.heap().window_stats();
         assert_eq!(granted + fallback, 1);
-        let base = rt.sbrk(1 << 20).unwrap();
-        unsafe {
-            (base as *mut u8).write(1);
+        // Every page of the window must be mapped and writable, granted
+        // or not.
+        let base = rt.sbrk(2 << 20).unwrap();
+        for page in 0..(2 << 20) / PAGE {
+            unsafe {
+                ((base + page * PAGE) as *mut u8).write(1);
+            }
         }
     }
 
